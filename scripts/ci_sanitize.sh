@@ -35,6 +35,15 @@
 # any file in src/runq/ — TSan is the only automated check of the
 # acquire/release pairings the memory-order table documents.
 #
+# The runtime label covers the live server (src/runtime/): the trigger
+# thread that sleeps to the next planned segment boundary, the pacing
+# workers that hold back-to-back segment runs without waking it, the
+# budget broker's off-thread replan + poke, and the lockstep
+# conformance replay. `-L runtime` under ThreadSanitizer, together with
+# `-L net` and `-L runq`, is MANDATORY before touching
+# src/runtime/server.{hpp,cpp} — the wake protocol is plain atomics and
+# one condition variable, and TSan is its only automated race check.
+#
 # The power label covers the static-power & sleep-state plane: the
 # PowerModel C-state unit tests (speed_for_power clamp, break-even and
 # critical-speed closed forms), the race-to-idle decision guard rails
@@ -62,6 +71,10 @@
 #   $ scripts/ci_sanitize.sh -L runq             # both, lock-free substrate
 #   $ scripts/ci_sanitize.sh thread -L runq      # TSan runq (mandatory for
 #                                                #   src/runq/ changes)
+#   $ scripts/ci_sanitize.sh -L runtime          # both, live-server suite
+#   $ scripts/ci_sanitize.sh thread -L runtime   # TSan runtime (mandatory,
+#                                                #   with -L net and -L runq,
+#                                                #   for server changes)
 #   $ scripts/ci_sanitize.sh -L scenario         # both, scenario-matrix suite
 #   $ scripts/ci_sanitize.sh -L power            # both, energy-model suite
 #   $ scripts/ci_sanitize.sh thread              # just TSan

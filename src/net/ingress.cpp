@@ -117,6 +117,10 @@ struct Ingress::Worker {
   std::vector<std::uint32_t> entry_free;
   std::vector<std::uint32_t> dirty;
   std::vector<char> read_buf;  // one recv chunk, reused across sweeps
+  // ACK/REPLY encode buffer, reused across frames: a 26-byte REPLY is
+  // past the small-string buffer, so a fresh string per frame would be
+  // one heap allocation per served request.
+  std::string frame_buf;
   std::vector<IngressRequest> batch;
   std::vector<Completion> inbox_local;
   std::mutex inbox_mu;
@@ -544,7 +548,7 @@ void Ingress::flush_batch(Worker& w) {
   QES_ASSERT(k <= n);
   if (w.c_batches != nullptr) w.c_batches->inc();
   if (w.h_batch != nullptr) w.h_batch->record(static_cast<double>(n));
-  std::string scratch;
+  std::string& scratch = w.frame_buf;
   for (std::size_t i = 0; i < n; ++i) {
     const IngressRequest& req = w.batch[i];
     const std::uint32_t ei =
@@ -616,9 +620,9 @@ void Ingress::deliver(Worker& w, const Completion& comp) {
                 http_response("200 OK", "application/json", reply_json(r)));
       c.want_close = true;
     } else {
-      std::string scratch;
-      encode_reply(r, scratch);
-      queue_out(w, e.conn, scratch);
+      w.frame_buf.clear();
+      encode_reply(r, w.frame_buf);
+      queue_out(w, e.conn, w.frame_buf);
     }
     w.replies.fetch_add(1, std::memory_order_relaxed);
     if (w.c_replies != nullptr) w.c_replies->inc();

@@ -118,7 +118,7 @@ void pump_out(GenConn& c) {
 }  // namespace
 
 std::string LoadgenReport::to_json() const {
-  char buf[768];
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "{\"submitted\": %llu, \"acked\": %llu, \"replies\": %llu, "
@@ -127,7 +127,8 @@ std::string LoadgenReport::to_json() const {
       "\"reply_rate\": %.1f, \"wall_seconds\": %.3f, "
       "\"max_send_lag_ms\": %.3f, \"latency_ms\": {\"count\": %llu, "
       "\"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f, "
-      "\"p999\": %.4f, \"max\": %.4f}}",
+      "\"p999\": %.4f, \"max\": %.4f}, \"served_latency_ms\": "
+      "{\"count\": %llu, \"p50\": %.4f, \"p99\": %.4f, \"max\": %.4f}}",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(acked),
       static_cast<unsigned long long>(replies),
@@ -140,7 +141,10 @@ std::string LoadgenReport::to_json() const {
       latency.count > 0 ? latency.sum / static_cast<double>(latency.count)
                         : 0.0,
       latency.quantile(0.50), latency.quantile(0.95), latency.quantile(0.99),
-      latency.quantile(0.999), latency.max);
+      latency.quantile(0.999), latency.max,
+      static_cast<unsigned long long>(served_latency.count),
+      served_latency.quantile(0.50), served_latency.quantile(0.99),
+      served_latency.max);
   return buf;
 }
 
@@ -164,6 +168,7 @@ LoadgenReport run_loadgen(const LoadgenConfig& cfg) {
   // 10 us .. ~1.7 min in 40 buckets (growth 1.5): sub-ms loopback RTTs
   // and multi-second stalls both land in finite buckets.
   obs::Histogram hist(0.01, 1.5, 40);
+  obs::Histogram served_hist(0.01, 1.5, 40);  // same buckets, shed excluded
   LoadgenReport rep;
 
   // Scheduled send instant per dense req_id — the open-loop anchor every
@@ -268,7 +273,9 @@ LoadgenReport run_loadgen(const LoadgenConfig& cfg) {
           ++rep.replies;
           const std::uint64_t id = fr.reply.req_id;
           if (id < sched_ms.size()) {
-            hist.record(std::max(0.0, recv_ms - sched_ms[id]));
+            const double lat = std::max(0.0, recv_ms - sched_ms[id]);
+            hist.record(lat);
+            if (fr.reply.status != ReplyStatus::kShed) served_hist.record(lat);
           }
           switch (fr.reply.status) {
             case ReplyStatus::kShed:
@@ -301,6 +308,7 @@ LoadgenReport run_loadgen(const LoadgenConfig& cfg) {
     rep.reply_rate = static_cast<double>(rep.replies) / rep.wall_seconds;
   }
   rep.latency = hist.snapshot();
+  rep.served_latency = served_hist.snapshot();
   return rep;
 }
 

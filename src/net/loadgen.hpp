@@ -87,6 +87,10 @@ struct LoadgenReport {
   /// Worst sender lag behind the open-loop schedule (generator health).
   double max_send_lag_ms = 0.0;
   obs::HistogramSnapshot latency;  // ms, from scheduled send to reply
+  /// The same latency over served (satisfied or partial) replies only:
+  /// shed replies take the admission fast path and would pull the
+  /// quantiles down. `latency` keeps pooling every reply.
+  obs::HistogramSnapshot served_latency;
 
   [[nodiscard]] std::string to_json() const;
 };

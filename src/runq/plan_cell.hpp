@@ -27,8 +27,8 @@
 // Capacity is fixed at construction. A plan longer than the cell is
 // truncated (publish() reports how many segments were dropped so the
 // owner can count them); a worker that exhausts a truncated plan simply
-// goes idle early and pokes the trigger — the model's accounting lives
-// in RuntimeCore, so truncation can cost pacing fidelity, never
+// goes idle early until the next publication — the model's accounting
+// lives in RuntimeCore, so truncation can cost pacing fidelity, never
 // correctness.
 #pragma once
 

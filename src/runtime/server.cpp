@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "core/assert.hpp"
 #include "obs/trace.hpp"
@@ -132,7 +133,8 @@ Server::Server(ServerConfig config)
           {"qesd_hot_plan_flips_total",
            "plan-generation changes observed by pacing workers"},
           {"qesd_hot_pace_slices_total",
-           "executed worker pacing slices (hot-path shards)"},
+           "worker pacing slices, one per held back-to-back segment run "
+           "(hot-path shards)"},
           {"qesd_hot_idle_polls_total",
            "plan-exhausted idle polls by pacing workers"}},
       &registry_);
@@ -322,10 +324,18 @@ bool Server::submit(const Request& request,
 }
 
 void Server::poke_trigger() {
-  // Lock-free poke (workers call this on their pacing path). The store
-  // is not made under trig_mu_, so a notify can race the trigger's
-  // predicate check and be missed — bounded by the tick_wall_ms timeout.
+  // Lock-free poke (ingress admissions). The store is not made under
+  // trig_mu_, so a notify can race the trigger's predicate check and be
+  // missed — bounded by the trigger's current wait.
   poked_.store(true, std::memory_order_release);
+  trig_cv_.notify_one();
+}
+
+void Server::poke_trigger_now() {
+  {
+    std::lock_guard<std::mutex> lock(trig_mu_);
+    poked_.store(true, std::memory_order_release);
+  }
   trig_cv_.notify_one();
 }
 
@@ -354,7 +364,7 @@ void Server::publish_plans() {
   }
 }
 
-void Server::process_tick() {
+Time Server::process_tick() {
   const Time vnow = clock_.now();
   const std::uint64_t beat =
       heartbeat_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -362,6 +372,7 @@ void Server::process_tick() {
   depth_gauge_->set(static_cast<double>(admission_.approx_depth()));
   runq::ShardedAdmission<Request>::DrainResult dres;
   std::size_t admitted_total = 0;
+  Time next_boundary = 0.0;
   admission_batch_.clear();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -407,6 +418,11 @@ void Server::process_tick() {
         }
       }
     }
+    collect_completions();
+    // The installed plans' boundaries stay fixed until the next replan,
+    // so the trigger can sleep straight to the earliest one: the
+    // segment ends that finalize jobs and idle cores need no worker poke.
+    next_boundary = core_.next_plan_event();
   }
   if (!admission_batch_.empty()) {
     shards_->add(trigger_shard_, kShardSlotDrained, admission_batch_.size());
@@ -426,56 +442,85 @@ void Server::process_tick() {
   }
   // Outside mu_: pushing REPLY frames to the ingress inboxes must never
   // hold the model lock.
-  forward_completions();
+  send_completions();
+  return next_boundary;
+}
+
+void Server::collect_completions() {
+  wire_completions_.clear();
+  // Completions are recorded only for a wire plane (constructor); the
+  // immutable config, not ingress_, decides, because start() sets
+  // ingress_ after the trigger thread is already running.
+  if (cfg_.listen_port < 0) return;
+  completions_scratch_.clear();
+  core_.drain_completions(completions_scratch_);
+  for (const JobCompletion& c : completions_scratch_) {
+    QES_ASSERT(c.id >= 1 && c.id <= tags_.size());
+    const std::uint64_t token = tags_[static_cast<std::size_t>(c.id - 1)];
+    if (token == 0) continue;  // in-process submission, no wire client
+    net::Completion wc;
+    wc.token = token;
+    wc.status =
+        c.satisfied ? net::ReplyStatus::kSatisfied : net::ReplyStatus::kPartial;
+    wc.quality = c.quality;
+    wc.latency_ms = c.latency_ms;
+    wire_completions_.push_back(wc);
+  }
+}
+
+void Server::send_completions() {
+  // A wire token was admitted from a ring the ingress pushed into, so
+  // ingress_ is set (and visible) whenever this batch is non-empty.
+  if (wire_completions_.empty()) return;
+  ingress_->complete_batch(wire_completions_.data(), wire_completions_.size());
 }
 
 void Server::forward_completions() {
-  if (!ingress_) return;
-  completions_scratch_.clear();
-  wire_completions_.clear();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    core_.drain_completions(completions_scratch_);
-    for (const JobCompletion& c : completions_scratch_) {
-      QES_ASSERT(c.id >= 1 && c.id <= tags_.size());
-      const std::uint64_t token = tags_[static_cast<std::size_t>(c.id - 1)];
-      if (token == 0) continue;  // in-process submission, no wire client
-      net::Completion wc;
-      wc.token = token;
-      wc.status =
-          c.satisfied ? net::ReplyStatus::kSatisfied : net::ReplyStatus::kPartial;
-      wc.quality = c.quality;
-      wc.latency_ms = c.latency_ms;
-      wire_completions_.push_back(wc);
-    }
+    collect_completions();
   }
-  if (!wire_completions_.empty()) {
-    ingress_->complete_batch(wire_completions_.data(),
-                             wire_completions_.size());
-  }
+  send_completions();
 }
 
 void Server::trigger_loop() {
+  // The trigger is the only thread that wakes on model time: it sleeps
+  // to min(now + tick, next planned segment boundary), so completions
+  // are finalized, idle cores noticed and replies forwarded at the
+  // boundary itself; pokes (admissions, budget changes, stop) cut the
+  // sleep short.
+  const auto tick = std::chrono::duration_cast<VirtualClock::WallClock::duration>(
+      wall_ms(cfg_.tick_wall_ms));
+  const Time tick_virtual = cfg_.tick_wall_ms * clock_.scale();
+  Time next_boundary = std::numeric_limits<Time>::infinity();
   while (!stop_.load(std::memory_order_acquire)) {
+    auto wake = VirtualClock::WallClock::now() + tick;
+    if (next_boundary < clock_.now() + tick_virtual) {
+      // One clock tick past the boundary: wall_deadline() truncates, and
+      // waking a hair early would re-run the tick for nothing.
+      wake = std::min(wake, clock_.wall_deadline(next_boundary) +
+                                VirtualClock::WallClock::duration(1));
+    }
     {
       std::unique_lock<std::mutex> lock(trig_mu_);
-      trig_cv_.wait_for(lock, wall_ms(cfg_.tick_wall_ms), [this] {
+      trig_cv_.wait_until(lock, wake, [this] {
         return stop_.load(std::memory_order_acquire) ||
                poked_.load(std::memory_order_acquire);
       });
       poked_.store(false, std::memory_order_relaxed);
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    process_tick();
+    next_boundary = process_tick();
   }
 }
 
 void Server::wait_wall(VirtualClock::WallClock::time_point tp,
                        std::uint64_t seen_gen) {
   // Lock-free pacing: chunked sleeps that re-check stop and the plan
-  // generation, so a fresh publication truncates the wait within one
-  // worker_slice_wall_ms chunk. No mutex, no condition variable — this
-  // runs on the workers' zero-lock steady-state path.
+  // generation between chunks, so a fresh publication ends the wait at
+  // the next chunk boundary (at most worker_slice_wall_ms late). No
+  // mutex, no condition variable — this runs on the workers' zero-lock
+  // steady-state path.
   const auto chunk = std::chrono::duration_cast<VirtualClock::WallClock::duration>(
       wall_ms(cfg_.worker_slice_wall_ms));
   for (;;) {
@@ -529,10 +574,10 @@ void Server::worker_loop(int core) {
     if (seg == nullptr) {
       current_job_[idx].store(0, std::memory_order_relaxed);
       if (view.core_state == runq::CoreState::kSleep) {
-        // Core is parked (race-to-idle): no poke, no idle-poll count —
-        // just doze until a publish flips the C-state back. wait_wall
-        // returns early on any generation bump, so arrival latency is
-        // still bounded by the trigger tick, not this doze length.
+        // Core is parked (race-to-idle): no idle-poll count — just doze
+        // until a publish flips the C-state back. wait_wall returns
+        // early on any generation bump, so arrival latency is still
+        // bounded by the trigger tick, not this doze length.
         wait_wall(
             VirtualClock::WallClock::now() +
                 std::chrono::duration_cast<VirtualClock::WallClock::duration>(
@@ -540,10 +585,10 @@ void Server::worker_loop(int core) {
             seen_gen);
         continue;
       }
-      // Plan exhausted: this is the idle-core trigger's signal. Poke the
-      // trigger thread and doze until a new plan is published.
+      // Plan exhausted: doze until a new plan is published. No poke —
+      // the trigger woke at this plan's last segment end on its own and
+      // evaluated the idle-core trigger there.
       shards_->add(idx, kShardSlotIdlePolls);
-      poke_trigger();
       wait_wall(VirtualClock::WallClock::now() +
                     std::chrono::duration_cast<VirtualClock::WallClock::duration>(
                         wall_ms(5.0 * cfg_.tick_wall_ms)),
@@ -556,23 +601,27 @@ void Server::worker_loop(int core) {
       wait_wall(clock_.wall_deadline(seg->t0), seen_gen);
       continue;
     }
-    // Execute one time-dilated slice of the active segment: the worker
-    // "runs" the job by holding it as current for the slice's wall-time
-    // extent — speed seg->speed means seg->speed * 1000 / time_scale
-    // units per wall second.
+    // Hold the back-to-back run that starts at the active segment
+    // (each next t0 within kTimeEps of the previous t1) as one time-
+    // dilated slice, capped at one worker_slice_wall_ms: the worker
+    // "runs" the jobs by holding the run's first job as current for the
+    // slice's wall extent — speed s means s * 1000 / time_scale units
+    // per wall second. Segment ends need no poke: the trigger wakes at
+    // them on its own, and a replan ends the slice early via wait_wall.
+    const Time cap = vnow + slice_virtual;
+    const Segment* const end = view.segments.data() + view.segments.size();
+    Time run_end = seg->t1;
+    for (const Segment* s = seg + 1; s != end && run_end < cap; ++s) {
+      if (s->t0 > run_end + kTimeEps) break;
+      run_end = s->t1;
+    }
     current_job_[idx].store(seg->job, std::memory_order_relaxed);
-    const Time slice_end = std::min(seg->t1, vnow + slice_virtual);
-    wait_wall(clock_.wall_deadline(slice_end), seen_gen);
-    const Time done = std::min(clock_.now(), seg->t1);
+    wait_wall(clock_.wall_deadline(std::min(run_end, cap)), seen_gen);
+    const Time done = std::min(clock_.now(), run_end);
     if (done > vnow) {
       ws.busy_virtual_ms += done - vnow;
       ++ws.slices;
       shards_->add(idx, kShardSlotPaceSlices);
-    }
-    if (clock_.now() + kTimeEps >= seg->t1) {
-      // Segment boundary: completion processing (and possibly the idle
-      // trigger) is due on the model state.
-      poke_trigger();
     }
   }
   current_job_[idx].store(0, std::memory_order_relaxed);
@@ -671,7 +720,7 @@ RunStats Server::drain_and_stop() {
   // last admission. The rings may hold more than one tick's drain quota,
   // so the loop pokes until they are empty AND the model is settled.
   for (;;) {
-    poke_trigger();
+    poke_trigger_now();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (admission_.empty() && core_.all_finalized()) {
@@ -688,7 +737,7 @@ RunStats Server::drain_and_stop() {
   }
   take_snapshot();  // final observation before the threads stop
   stop_.store(true, std::memory_order_release);
-  poke_trigger();
+  poke_trigger_now();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   stopped_ = true;
@@ -732,6 +781,10 @@ void Server::set_power_budget(Watts budget) {
   // exceed it installed past the next advance.
   core_.replan();
   publish_plans();
+  // The trigger is sleeping toward a boundary of the old plans; make it
+  // recompute its wake from the new ones (trig_mu_ nests inside mu_ and
+  // the trigger never takes mu_ while holding trig_mu_).
+  poke_trigger_now();
 }
 
 Watts Server::power_budget() const {
@@ -748,7 +801,7 @@ Server::KillReport Server::kill() {
   QES_ASSERT_MSG(started_ && !stopped_, "kill() requires a live server");
   admission_.close();
   stop_.store(true, std::memory_order_release);
-  poke_trigger();
+  poke_trigger_now();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   stopped_ = true;

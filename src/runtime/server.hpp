@@ -11,12 +11,14 @@
 //                  dry — the C-RR boundary), advances RuntimeCore to the
 //                  current virtual time, evaluates the paper's triggers,
 //                  replans, and publishes per-core plans through seqlock
-//                  runq::PlanCells
+//                  runq::PlanCells; then sleeps until the next planned
+//                  segment boundary or one tick, whichever is first —
+//                  the only thread that wakes on model time
 //   workers (m)    one per core: read the published plan with zero locks
-//                  and zero atomic RMW (seqlock read path), sleep/yield
-//                  through each segment at the time-dilated virtual
-//                  speed, poke the trigger at segment boundaries and
-//                  when their plan runs dry (the idle-core trigger)
+//                  and zero atomic RMW (seqlock read path) and pace each
+//                  back-to-back run of segments as one time-dilated
+//                  slice; they never wake the trigger — it already
+//                  sleeps to the installed plans' segment boundaries
 //   metrics (1)    periodic JSON snapshots of the live counters
 //
 // All model state (RuntimeCore) is guarded by one mutex, mutated only by
@@ -75,11 +77,15 @@ struct ServerConfig {
   /// pushes beyond a ring's share are shed (submit() retries up to its
   /// timeout first).
   std::size_t admission_capacity = 4096;
-  /// Trigger-thread cadence (wall ms).
+  /// Trigger-thread cadence (wall ms): the longest the trigger sleeps.
+  /// It wakes earlier at the next planned segment boundary and when
+  /// poked (admissions, budget changes, stop).
   double tick_wall_ms = 2.0;
   /// Metrics snapshot cadence (wall ms).
   double metrics_interval_ms = 1000.0;
-  /// Worker pacing granularity (wall ms).
+  /// Worker pacing granularity (wall ms): the longest one pacing slice
+  /// (a back-to-back run of plan segments) is held before the worker
+  /// re-reads its plan cell.
   double worker_slice_wall_ms = 1.0;
   /// Max requests one shard contributes per trigger tick; leftover
   /// quota from a dry shard is spent stealing from the most backlogged
@@ -123,7 +129,7 @@ enum ServerShardSlot : std::size_t {
   kShardSlotShed,           ///< wire requests shed at admission (ingress)
   kShardSlotPlanPublish,    ///< publish_plans() invocations
   kShardSlotPlanFlips,      ///< plan-generation changes workers observed
-  kShardSlotPaceSlices,     ///< executed pacing slices (workers)
+  kShardSlotPaceSlices,     ///< held back-to-back segment runs (workers)
   kShardSlotIdlePolls,      ///< plan-exhausted idle polls (workers)
   kShardSlotCount,
 };
@@ -283,22 +289,36 @@ class Server {
  private:
   friend class ServerIngressSink;
 
+  /// Runs process_tick() at every wake: the next planned segment
+  /// boundary, one tick_wall_ms, or a poke — whichever comes first.
   void trigger_loop();
   void worker_loop(int core);
   void metrics_loop();
-  void process_tick();
+  /// One trigger tick under a single mu_ section; returns the next
+  /// planned segment boundary (virtual ms, +inf when every core is idle).
+  Time process_tick();
   /// IngressSink admission: per-item affine ring pushes with exact shed
   /// accounting (no allocation beyond a thread-local scratch's one-time
   /// growth).
   std::size_t ingress_admit(const net::IngressRequest* reqs,
                             std::size_t count);
-  /// Forwards pending finalizations to the wire (trigger thread only).
+  /// Moves pending finalizations into wire_completions_ (requires mu_).
+  void collect_completions();
+  /// Hands wire_completions_ to the ingress (never under mu_).
+  void send_completions();
+  /// collect + send, for drain_and_stop() once the trigger has joined.
   void forward_completions();
   void publish_plans();  // requires mu_
+  /// Lock-free poke for hot callers; a notify racing the trigger's wait
+  /// can be missed, costing at most one wait (<= tick_wall_ms).
   void poke_trigger();
+  /// Poke that cannot be missed (takes trig_mu_): for cold paths — budget
+  /// changes, drain, stop — that must make the trigger act at once.
+  void poke_trigger_now();
   void take_snapshot();
   /// Sleeps until `tp`, a plan generation other than `seen_gen`, or
-  /// stop — lock-free chunked pacing (chunk = worker_slice_wall_ms).
+  /// stop — lock-free chunked sleeps (chunk = worker_slice_wall_ms) that
+  /// re-check the generation and stop flag between chunks.
   void wait_wall(VirtualClock::WallClock::time_point tp,
                  std::uint64_t seen_gen);
 
@@ -318,7 +338,8 @@ class Server {
   /// Latest stamped absolute deadline — per-request deadlines are
   /// clamped to keep admissions agreeable (core asserts it).
   Time last_deadline_ = 0.0;
-  // Scratch for process_tick / forward_completions (trigger thread only).
+  // Scratch for process_tick / forward_completions (trigger thread, or
+  // the stopping thread once the trigger is joined).
   std::vector<Request> admission_batch_;
   std::vector<JobCompletion> completions_scratch_;
   std::vector<net::Completion> wire_completions_;
@@ -337,11 +358,12 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> shed_{0};
 
-  std::mutex trig_mu_;  // trigger thread's tick sleep
+  std::mutex trig_mu_;  // trigger thread's sleep to its next wake
   std::condition_variable trig_cv_;
-  // poked_ is stored outside trig_mu_ (pokers must stay lock-free); a
-  // notify racing the trigger's wait can therefore be missed, costing at
-  // most one tick_wall_ms of latency.
+  // poke_trigger() stores poked_ outside trig_mu_ (the ingress stays
+  // lock-free), so its notify can race the trigger's predicate
+  // check and be missed, costing at most one wait; poke_trigger_now()
+  // stores it under trig_mu_ and is never missed.
   std::atomic<bool> poked_{false};
 
   std::vector<std::atomic<JobId>> current_job_;

@@ -53,11 +53,14 @@ TEST(NetLoadgenE2E, ClientLedgerReconcilesWithServerStats) {
   // Every reply latency was recorded against its scheduled send time.
   EXPECT_EQ(rep.latency.count, rep.replies);
   EXPECT_GE(rep.latency.max, 0.0);
+  // The served-only histogram holds exactly the non-shed replies.
+  EXPECT_EQ(rep.served_latency.count, rep.replies - rep.shed);
 
   // The report serializes (consumed by scripts/record_bench.sh).
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"submitted\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  EXPECT_NE(json.find("\"served_latency_ms\""), std::string::npos);
 }
 
 TEST(NetLoadgenE2E, MmppArrivalsDriveTheSameContract) {

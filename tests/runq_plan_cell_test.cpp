@@ -71,8 +71,8 @@ TEST(PlanCell, OverflowTruncatesAndCounts) {
   cell.read(view);
   ASSERT_EQ(view.segments.size(), 3u);
   // The kept prefix is the earliest segments — the ones the pacing
-  // worker needs next; it goes idle (and pokes the trigger) when it
-  // exhausts the truncated plan.
+  // worker needs next; it goes idle until the next publication when
+  // it exhausts the truncated plan.
   EXPECT_EQ(view.segments[0].t0, 0.0);
   EXPECT_EQ(view.segments[2].t0, 2.0);
 }

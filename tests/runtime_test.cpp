@@ -2,13 +2,18 @@
 // queue) and the live multi-threaded server. The live tests run
 // time-dilated so a 30-virtual-second serve finishes in ~2 wall seconds.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/prng.hpp"
+#include "net/frame.hpp"
+#include "net/socket_util.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/server.hpp"
@@ -199,6 +204,127 @@ TEST(Server, ThirtySecondPoissonWorkloadUnderBudget) {
   Time busy = 0.0;
   for (const WorkerStats& w : server.worker_stats()) busy += w.busy_virtual_ms;
   EXPECT_GT(busy, 0.0);
+}
+
+// The trigger sleeps to the next planned segment end: with a 50 ms tick
+// and nothing else running, a wire job must be finalized and its REPLY
+// forwarded within a few wall ms of its planned finish. The workers never
+// poke the trigger, so a reply that waited for the next tick would land
+// tens of ms late. Time scale 1 makes virtual ms wall ms.
+constexpr double kBoundaryTickWallMs = 50.0;
+constexpr double kBoundarySlackWallMs = 10.0;
+
+ServerConfig boundary_server_config() {
+  ServerConfig sc;
+  sc.model.cores = 1;
+  sc.model.power_budget = 20.0;
+  sc.time_scale = 1.0;
+  sc.deadline_ms = 10.0;
+  sc.tick_wall_ms = kBoundaryTickWallMs;
+  sc.metrics_interval_ms = 1000.0;
+  sc.listen_port = 0;
+  sc.ingress_workers = 1;
+  return sc;
+}
+
+// Connects and lets the trigger settle into a tick-long wait with no
+// plan installed, so only a boundary wake can beat the tick.
+int connect_idle(const Server& server) {
+  const int fd = net::connect_loopback(server.listen_port());
+  std::this_thread::sleep_for(milliseconds(60));
+  return fd;
+}
+
+void send_job(int fd, double demand) {
+  net::SubmitFrame f;
+  f.req_id = 7;
+  f.demand = demand;
+  f.partial_ok = true;
+  std::string wire;
+  net::encode_submit(f, wire);
+  ASSERT_TRUE(net::send_all(fd, wire));
+}
+
+// Blocks for the REPLY (the socket's 2 s receive timeout bounds it).
+net::ReplyFrame await_reply(int fd) {
+  net::FrameDecoder dec;
+  net::Frame frame;
+  char buf[256];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      ADD_FAILURE() << "no REPLY before the socket timeout";
+      return {};
+    }
+    dec.feed(buf, static_cast<std::size_t>(n));
+    if (dec.next(&frame) == net::FrameDecoder::Result::kFrame) {
+      EXPECT_EQ(frame.type, net::FrameType::kReply);
+      return frame.reply;
+    }
+  }
+}
+
+// `elapsed_ms` runs from the send; the job's planned finish is its
+// release (the send, give or take the admission wake) plus the REPLY's
+// latency.
+void expect_forwarded_at_planned_finish(const net::ReplyFrame& reply,
+                                        double elapsed_ms) {
+  EXPECT_EQ(reply.req_id, 7u);
+  EXPECT_EQ(reply.status, net::ReplyStatus::kSatisfied);
+  EXPECT_GT(reply.latency_ms, 0.0);
+  EXPECT_LE(elapsed_ms, reply.latency_ms + kBoundarySlackWallMs)
+      << "REPLY forwarded " << elapsed_ms << " wall ms after submission "
+      << "for a job planned to finish " << reply.latency_ms
+      << " ms after release (tick " << kBoundaryTickWallMs << " ms)";
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(Server, TriggerForwardsCompletionAtPlannedSegmentEnd) {
+  Server server(boundary_server_config());
+  server.start();
+  const int fd = connect_idle(server);
+  const auto t_send = std::chrono::steady_clock::now();
+  send_job(fd, 5.0);
+  const net::ReplyFrame reply = await_reply(fd);
+  expect_forwarded_at_planned_finish(reply, ms_since(t_send));
+  EXPECT_LE(reply.latency_ms, 10.0 + 1e-6);  // within its deadline
+  ::close(fd);
+  EXPECT_EQ(server.drain_and_stop().jobs_total, 1u);
+}
+
+// The broker path replans and republishes off the trigger thread. With a
+// sleep state, race-to-idle runs the job flat out at the budget's speed
+// cap: at H = 5 W (cap 1) it ends 50 ms after release, which is the
+// boundary the trigger goes to sleep on; raising H to 20 W mid-flight
+// (cap 2 = the critical speed) re-times it to end ~27 ms after release.
+// Unless set_power_budget() pokes the trigger to recompute its wake from
+// the new plan, the REPLY waits for the stale 50 ms boundary.
+TEST(Server, TriggerFollowsNewPlansAfterBudgetChange) {
+  ServerConfig sc = boundary_server_config();
+  sc.model.power_budget = 5.0;
+  sc.deadline_ms = 100.0;
+  sc.model.power_model.b = 20.0;  // critical speed sqrt(20 / 5) = 2
+  sc.model.power_model.sleep_enabled = true;
+  Server server(sc);
+  server.start();
+  const int fd = connect_idle(server);
+  const auto t_send = std::chrono::steady_clock::now();
+  send_job(fd, 50.0);
+  std::this_thread::sleep_for(milliseconds(5));
+  server.set_power_budget(20.0);
+  const net::ReplyFrame reply = await_reply(fd);
+  expect_forwarded_at_planned_finish(reply, ms_since(t_send));
+  // Raced at the new cap, not the old one (which would end at 50 ms).
+  EXPECT_LT(reply.latency_ms, 40.0);
+  ::close(fd);
+  const RunStats stats = server.drain_and_stop();
+  EXPECT_EQ(stats.jobs_total, 1u);
+  EXPECT_LE(stats.peak_power, 20.0 * (1.0 + 1e-6) + 1e-6);
 }
 
 TEST(Server, SnapshotJsonHasExpectedKeys) {

@@ -54,7 +54,8 @@ void usage() {
 Prints one JSON object: submitted/replies/satisfied/partial/shed/lost
 counts, quality_sum, offered and reply rates, max_send_lag_ms
 (generator health), and the latency distribution measured from each
-request's SCHEDULED send instant.
+request's SCHEDULED send instant — latency_ms over every reply,
+served_latency_ms over served (non-shed) replies only.
 )",
              stdout);
 }
