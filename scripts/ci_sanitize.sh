@@ -43,6 +43,12 @@
 # `-L net` and `-L runq`, is MANDATORY before touching
 # src/runtime/server.{hpp,cpp} — the wake protocol is plain atomics and
 # one condition variable, and TSan is its only automated race check.
+# `-L runtime` under AddressSanitizer is MANDATORY beside it before
+# touching the job table (src/sim/job_table.hpp, src/sim/job_arena.hpp,
+# or RuntimeCore's jobs_ and retire floor): advance() frees whole chunks
+# of retired job records, and ASan is what catches a reference held
+# into a released chunk across an advance() — the long lockstep
+# conformance case runs the release path.
 #
 # The power label covers the static-power & sleep-state plane: the
 # PowerModel C-state unit tests (speed_for_power clamp, break-even and
@@ -75,6 +81,9 @@
 #   $ scripts/ci_sanitize.sh thread -L runtime   # TSan runtime (mandatory,
 #                                                #   with -L net and -L runq,
 #                                                #   for server changes)
+#   $ scripts/ci_sanitize.sh address -L runtime  # ASan runtime (mandatory,
+#                                                #   with TSan, for job-table
+#                                                #   changes)
 #   $ scripts/ci_sanitize.sh -L scenario         # both, scenario-matrix suite
 #   $ scripts/ci_sanitize.sh -L power            # both, energy-model suite
 #   $ scripts/ci_sanitize.sh thread              # just TSan

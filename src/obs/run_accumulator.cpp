@@ -61,9 +61,10 @@ void RunAccumulator::on_job(double quality, double max_quality,
   if (rigid_failed) ++stats_.jobs_discarded_rigid;
 
   if (registry_ == nullptr) return;
-  // on_job has exactly one caller thread (the sim main loop / the
-  // runtime trigger under the model lock): the single-writer store
-  // path skips the CAS these counters would otherwise pay per job.
+  // on_job has one writer at a time (the sim main loop / whichever
+  // runtime thread holds the model lock, which orders the handoffs):
+  // the single-writer store path skips the CAS these counters would
+  // otherwise pay per job.
   outcome_jobs_[outcome]->inc_single_writer();
   if (rigid_failed) discarded_rigid_->inc_single_writer();
   quality_total_->add_single_writer(quality);

@@ -6,12 +6,15 @@
 // textually identical. The accumulator centralizes the arithmetic: the
 // caller feeds one on_job() per finalized job (in job-id order) plus the
 // run-level energy/power/replan figures, and finish() produces the
-// RunStats that stats_to_json renders — unchanged JSON shape.
+// RunStats that stats_to_json renders — unchanged JSON shape. Both
+// planes feed it during the run, as finalized jobs retire from their
+// sim::JobTable (src/sim/job_table.hpp), and call finish() once.
 //
 // When a Registry is attached, every observation is mirrored into obs
 // instruments as it is recorded — the same values, in the same order, so
 // histogram count/sum totals reconcile exactly with the RunStats
-// aggregates (see docs/USAGE.md "Metric reference"):
+// aggregates at finish() (see docs/USAGE.md "Metric reference"); on a
+// live qesd the job instruments therefore advance while it serves:
 //
 //   <prefix>_job_latency_ms   histogram  latency of satisfied jobs
 //   <prefix>_job_quality      histogram  per-job quality w*f(p)

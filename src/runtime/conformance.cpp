@@ -19,7 +19,8 @@ double ConformanceResult::energy_rel_diff() const {
   return std::fabs(sim.dynamic_energy - runtime.dynamic_energy) / scale;
 }
 
-RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs) {
+RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs,
+                      std::size_t* peak_resident_jobs) {
   sort_by_release(jobs);
   QES_ASSERT_MSG(deadlines_agreeable(jobs),
                  "lockstep replay requires agreeable deadlines");
@@ -45,6 +46,10 @@ RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs) {
       core.submit(jobs[next]);
       ++next;
     }
+    if (peak_resident_jobs != nullptr) {
+      *peak_resident_jobs =
+          std::max(*peak_resident_jobs, core.resident_jobs());
+    }
     if (core.check_triggers()) core.replan();
   }
   return core.finish(final_deadline);
@@ -67,7 +72,8 @@ ConformanceResult run_conformance(const RuntimeConfig& config,
   Engine engine(ec, jobs, make_des_policy({.arch = Architecture::CDVFS}));
   out.sim = engine.run().stats;
 
-  out.runtime = run_lockstep(config, std::move(jobs));
+  out.runtime = run_lockstep(config, std::move(jobs),
+                             &out.runtime_peak_resident_jobs);
   return out;
 }
 

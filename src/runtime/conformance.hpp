@@ -14,6 +14,7 @@
 // here transfers to the live path's accounting.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/job.hpp"
@@ -25,6 +26,9 @@ namespace qes::runtime {
 struct ConformanceResult {
   RunStats sim;      ///< sim::Engine + make_des_policy (C-DVFS)
   RunStats runtime;  ///< RuntimeCore in lockstep
+  /// Most job records the runtime held at once (RuntimeCore::
+  /// resident_jobs() after each event): O(live jobs), not O(trace).
+  std::size_t runtime_peak_resident_jobs = 0;
 
   [[nodiscard]] double quality_abs_diff() const;
   [[nodiscard]] double energy_rel_diff() const;
@@ -36,8 +40,10 @@ struct ConformanceResult {
                                                 std::vector<Job> jobs);
 
 /// Drives only the runtime side (exposed for tests and the qesd
-/// `--conform` mode, which prints both reports).
+/// `--conform` mode, which prints both reports). When given,
+/// `peak_resident_jobs` receives the most job records held at once.
 [[nodiscard]] RunStats run_lockstep(const RuntimeConfig& config,
-                                    std::vector<Job> jobs);
+                                    std::vector<Job> jobs,
+                                    std::size_t* peak_resident_jobs = nullptr);
 
 }  // namespace qes::runtime

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "core/assert.hpp"
-#include "obs/run_accumulator.hpp"
 #include "obs/trace.hpp"
 
 namespace qes::runtime {
@@ -14,16 +13,16 @@ RuntimeCore::RuntimeCore(RuntimeConfig config)
     : cfg_(std::move(config)),
       crr_(static_cast<std::size_t>(std::max(cfg_.cores, 1))),
       planner_(std::make_unique<policy::DesPlanner>(cfg_.registry,
-                                                    "runtime")) {
+                                                    "runtime")),
+      // Feed batch 1: every advance() that finalizes a job feeds it, so
+      // the qesd_jobs_* instruments track the live run.
+      jobs_(cfg_.registry, "qesd", 1) {
   QES_ASSERT(cfg_.cores > 0 && cfg_.power_budget > 0.0);
   sleep_mode_ = cfg_.power_model.has_sleep();
-  if (cfg_.registry != nullptr) {
-    // Pre-register the end-of-run schema (jobs_total by outcome, quality
-    // and latency instruments) so a live /metrics scrape sees the full
-    // family set from the first request; finish() finds and increments
-    // these same instruments.
-    obs::RunAccumulator schema(cfg_.registry, "qesd");
-  }
+  // Build the run accumulator now so its instruments (jobs_total by
+  // outcome, quality and latency) are registered before the first
+  // request: a live /metrics scrape sees the full family set.
+  jobs_.accumulator();
   attribution_ = obs::EnergyAttribution(cfg_.registry, cfg_.node_id);
   cores_.resize(static_cast<std::size_t>(cfg_.cores));
   next_quantum_ = cfg_.quantum_ms > 0.0
@@ -46,19 +45,19 @@ const Schedule& RuntimeCore::plan(int core) const {
   return cores_[static_cast<std::size_t>(core)].plan;
 }
 
-void RuntimeCore::submit(const Job& job) {
+void RuntimeCore::submit(const Job& job, std::uint64_t token) {
   QES_ASSERT_MSG(job.id == jobs_.size() + 1,
                  "jobs must carry dense ids 1..n in admission order");
   QES_ASSERT(job.demand > 0.0 && job.deadline > job.release);
   QES_ASSERT_MSG(job.release >= now_ - kPlanSlackEps,
                  "admission must not travel back in time");
   if (!jobs_.empty()) {
-    const Job& prev = jobs_.back().job;
-    QES_ASSERT_MSG(job.release + kTimeEps >= prev.release &&
-                       job.deadline + kTimeEps >= prev.deadline,
+    QES_ASSERT_MSG(job.release + kTimeEps >= last_admitted_.release &&
+                       job.deadline + kTimeEps >= last_admitted_.deadline,
                    "admitted jobs must keep agreeable deadlines");
   }
-  jobs_.push_back(JobRecord{.job = job});
+  jobs_.push_back(JobRecord{.job = job, .token = token});
+  last_admitted_ = job;
   waiting_.push_back(job.id);
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Release,
@@ -83,9 +82,6 @@ void RuntimeCore::assign_to_core(JobId id, int core) {
   JobRecord& st = state(id);
   QES_ASSERT_MSG(st.phase == JobRecord::Phase::Waiting,
                  "only waiting jobs can be assigned");
-  auto it = std::find(waiting_.begin(), waiting_.end(), id);
-  QES_ASSERT(it != waiting_.end());
-  waiting_.erase(it);
   st.phase = JobRecord::Phase::Assigned;
   st.core = core;
   auto& q = cores_[static_cast<std::size_t>(core)].queue;
@@ -128,7 +124,7 @@ void RuntimeCore::finalize(JobId id) {
   attribution_.on_job(st.job.partial_ok, st.energy_j, st.quality);
   if (cfg_.record_completions) {
     completions_.push_back(
-        {id, st.satisfied, st.quality, now_ - st.job.release});
+        {id, st.token, st.satisfied, st.quality, now_ - st.job.release});
   }
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Finalize,
@@ -298,6 +294,7 @@ void RuntimeCore::advance(Time target) {
   }
   now_ = std::max(now_, target);
   expire_due_jobs();
+  jobs_.retire(first_live_, cores_, cfg_.quality);
 }
 
 bool RuntimeCore::check_triggers() {
@@ -398,13 +395,14 @@ void RuntimeCore::replan() {
                       .value = static_cast<double>(waiting_.size())});
   }
   // Step 1: ready-job distribution (C-RR with the persistent cursor).
+  // The whole waiting list is assigned in one pass and cleared once.
   {
     obs::PhaseProfiler::Scope timer(planner_->begin_replan_profile());
-    const std::vector<JobId> waiting(waiting_.begin(), waiting_.end());
-    const auto targets = crr_.distribute(waiting.size());
-    for (std::size_t k = 0; k < waiting.size(); ++k) {
-      assign_to_core(waiting[k], static_cast<int>(targets[k]));
+    crr_.distribute_into(waiting_.size(), crr_targets_);
+    for (std::size_t k = 0; k < waiting_.size(); ++k) {
+      assign_to_core(waiting_[k], static_cast<int>(crr_targets_[k]));
     }
+    waiting_.clear();
   }
 
   // Steps 2-4 (budget-free YDS, WF power split, budget-bounded Online-QE
@@ -449,7 +447,7 @@ Time RuntimeCore::next_plan_event() const {
 }
 
 Time RuntimeCore::horizon() const {
-  return jobs_.empty() ? now_ : jobs_.back().job.deadline;
+  return jobs_.empty() ? now_ : last_admitted_.deadline;
 }
 
 Watts RuntimeCore::planned_power_now() const {
@@ -491,16 +489,10 @@ RunStats RuntimeCore::finish(Time end_time) {
   QES_ASSERT_MSG(all_finalized(), "finish() requires every job finalized");
   advance(std::max(end_time, now_));
 
-  // Same shared accumulator as sim::Engine (src/obs/run_accumulator.hpp),
-  // under the runtime's "qesd" metric prefix.
-  obs::RunAccumulator acc(cfg_.registry, "qesd");
-  for (const JobRecord& st : jobs_) {
-    if (st.abandoned) continue;  // re-dispatched; accounted at the new node
-    acc.on_job(st.quality, st.job.weight * cfg_.quality(st.job.demand),
-               st.satisfied, st.processed > kTimeEps,
-               !st.job.partial_ok && !st.satisfied,
-               st.finalized_at - st.job.release);
-  }
+  // The same job table as sim::Engine (src/sim/job_table.hpp) has fed
+  // the retired prefix during the run; feed the rest, skipping abandoned
+  // jobs (re-dispatched, accounted at the new node).
+  jobs_.feed_upto(jobs_.size(), cfg_.quality);
   // Static energy: integrated state residency under sleep-state
   // accounting (already streamed into attribution by advance()), else
   // the exact legacy closed form, fed to attribution once here.
@@ -508,8 +500,8 @@ RunStats RuntimeCore::finish(Time end_time) {
       sleep_mode_ ? static_energy_
                   : cfg_.cores * cfg_.power_model.b * now_ / 1000.0;
   if (!sleep_mode_) attribution_.on_static(static_e);
-  RunStats stats =
-      acc.finish(dynamic_energy_, static_e, peak_power_, now_, replans_);
+  RunStats stats = jobs_.accumulator().finish(dynamic_energy_, static_e,
+                                              peak_power_, now_, replans_);
   stats.wake_energy = wake_energy_;
   stats.core_wakes = wake_count_;
   stats.active_ms = res_active_ms_;

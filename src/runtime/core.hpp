@@ -18,6 +18,7 @@
 // classes — the simulator remains the tool for those studies).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -31,6 +32,7 @@
 #include "policy/crr.hpp"
 #include "policy/des_planner.hpp"
 #include "policy/world_view.hpp"
+#include "sim/job_table.hpp"
 #include "sim/metrics.hpp"
 
 namespace qes::obs {
@@ -52,8 +54,10 @@ struct RuntimeConfig {
   bool idle_trigger = true;
   /// Hardware cap on any core's speed (GHz).
   Speed max_core_speed = std::numeric_limits<double>::infinity();
-  /// Optional observability hooks (not owned). When set, finish()
-  /// mirrors the run aggregates into `registry` under the "qesd" prefix,
+  /// Optional observability hooks (not owned). When set, the run
+  /// aggregates are mirrored into `registry` under the "qesd" prefix as
+  /// finalized jobs retire (job counts, quality, job histograms) and at
+  /// finish() (energy, power, replans);
   /// replan() records per-phase wall time into
   /// qes_replan_phase_ms{plane="runtime"}, and lifecycle events are
   /// pushed into `trace` (see src/obs/).
@@ -71,9 +75,11 @@ struct RuntimeConfig {
 };
 
 /// One finalized job's outcome (only recorded when record_completions
-/// is set). latency_ms is virtual time from release to finalization.
+/// is set). latency_ms is virtual time from release to finalization;
+/// token is the routing tag given to submit().
 struct JobCompletion {
   JobId id = 0;
+  std::uint64_t token = 0;
   bool satisfied = false;
   double quality = 0.0;
   Time latency_ms = 0.0;
@@ -96,6 +102,9 @@ struct JobRecord {
   /// (joules of a·s^β across the speeds it actually ran at). Summed over
   /// jobs this partitions dynamic_energy exactly — see obs/attribution.hpp.
   Joules energy_j = 0.0;
+  /// Completion routing tag from submit() (the wire token; 0 for
+  /// in-process submissions), echoed in JobCompletion.
+  std::uint64_t token = 0;
 };
 
 /// Unserved remainder of a job pulled off a killed node, ready to be
@@ -139,8 +148,8 @@ class RuntimeCore {
   /// Admits a job. Ids must be dense 1..n in admission order and
   /// (release, deadline) must be agreeable with previously admitted jobs
   /// — both hold automatically when the server stamps release/deadline
-  /// at admission time.
-  void submit(const Job& job);
+  /// at admission time. `token` comes back in the job's JobCompletion.
+  void submit(const Job& job, std::uint64_t token = 0);
 
   // ---- time (every mutation below expects monotone timestamps) ----
 
@@ -148,7 +157,9 @@ class RuntimeCore {
   /// processed volume and dynamic energy segment by segment (power is
   /// constant between consecutive plan boundaries), finalizing jobs whose
   /// segments complete, and asserting the instantaneous power budget.
-  /// Then finalizes jobs whose deadline has passed.
+  /// Then finalizes jobs whose deadline has passed and retires the dead
+  /// prefix of job records (sim/job_table.hpp): fed to the run
+  /// statistics in id order, then freed chunk by chunk.
   void advance(Time t);
 
   /// Evaluates the §IV-E triggers at the current time: quantum (advances
@@ -196,7 +207,14 @@ class RuntimeCore {
   [[nodiscard]] bool all_finalized() const {
     return finalized_count_ == jobs_.size();
   }
+  /// Valid for jobs not yet retired: every unfinalized job, and every
+  /// job an installed plan still names.
   [[nodiscard]] const JobRecord& job(JobId id) const;
+  /// Job records still held in memory — O(live jobs), not O(admitted):
+  /// retired records are freed a whole chunk at a time.
+  [[nodiscard]] std::size_t resident_jobs() const {
+    return jobs_.resident_jobs();
+  }
   [[nodiscard]] const Schedule& plan(int core) const;
 
   /// Earliest deadline among admitted, unfinalized jobs (infinity when
@@ -242,6 +260,8 @@ class RuntimeCore {
   };
 
   JobRecord& state(JobId id);
+  /// Moves a waiting job onto `core`; the caller removes it from
+  /// waiting_.
   void assign_to_core(JobId id, int core);
   void finalize(JobId id);
   void expire_due_jobs();
@@ -266,9 +286,11 @@ class RuntimeCore {
   // refills the view to compute the budget-free demand signal.
   mutable policy::WorldView view_;
   policy::PlanOutcome plan_out_;
+  std::vector<std::size_t> crr_targets_;  // C-RR scratch, reused
   std::vector<JobCompletion> completions_;  // pending drain_completions()
   obs::EnergyAttribution attribution_;
-  std::vector<JobRecord> jobs_;  // index = id - 1
+  sim::JobTable<JobRecord> jobs_;  // index = id - 1; retired in advance()
+  Job last_admitted_;              // valid once admitted() > 0
   std::vector<CoreState> cores_;
   std::vector<JobId> waiting_;   // arrived, unassigned, arrival order
   std::size_t first_live_ = 0;

@@ -395,8 +395,7 @@ Time Server::process_tick() {
       j.demand = r.demand;
       j.partial_ok = r.partial_ok;
       j.weight = r.weight;
-      core_.submit(j);
-      tags_.push_back(r.tag);
+      core_.submit(j, r.tag);
     }
     admitted_total = core_.admitted();
     if (core_.check_triggers()) {
@@ -455,11 +454,9 @@ void Server::collect_completions() {
   completions_scratch_.clear();
   core_.drain_completions(completions_scratch_);
   for (const JobCompletion& c : completions_scratch_) {
-    QES_ASSERT(c.id >= 1 && c.id <= tags_.size());
-    const std::uint64_t token = tags_[static_cast<std::size_t>(c.id - 1)];
-    if (token == 0) continue;  // in-process submission, no wire client
+    if (c.token == 0) continue;  // in-process submission, no wire client
     net::Completion wc;
-    wc.token = token;
+    wc.token = c.token;
     wc.status =
         c.satisfied ? net::ReplyStatus::kSatisfied : net::ReplyStatus::kPartial;
     wc.quality = c.quality;

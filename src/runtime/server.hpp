@@ -327,14 +327,11 @@ class Server {
   runq::ShardedAdmission<Request> admission_;
 
   // Declared before core_: the constructor points cfg_.model.registry at
-  // it so RuntimeCore::finish() mirrors its aggregates here.
+  // it so RuntimeCore mirrors its run aggregates here.
   obs::Registry registry_;
 
-  mutable std::mutex mu_;  // guards core_, tags_, last_deadline_
+  mutable std::mutex mu_;  // guards core_, last_deadline_
   RuntimeCore core_;
-  /// Completion routing tag per admitted job (index = id - 1); 0 for
-  /// in-process submissions.
-  std::vector<std::uint64_t> tags_;
   /// Latest stamped absolute deadline — per-request deadlines are
   /// clamped to keep admissions agreeable (core asserts it).
   Time last_deadline_ = 0.0;

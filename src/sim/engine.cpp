@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/run_accumulator.hpp"
 #include "obs/trace.hpp"
 
 namespace qes {
@@ -58,8 +57,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<JobStream> stream,
   QES_ASSERT(stream_ != nullptr);
   pending_arrival_ = stream_->next();
 }
-
-Engine::~Engine() = default;
 
 void Engine::admit_streamed_arrival() {
   const Job& j = *pending_arrival_;
@@ -437,42 +434,6 @@ void Engine::advance_to(Time target) {
   now_ = std::max(now_, target);
 }
 
-void Engine::feed_accumulator_upto(std::size_t limit) {
-  if (limit <= fed_upto_) return;
-  if (!acc_) {
-    acc_ = std::make_unique<obs::RunAccumulator>(cfg_.registry, "qes_sim");
-  }
-  for (; fed_upto_ < limit; ++fed_upto_) {
-    const JobState& st = jobs_[fed_upto_];
-    QES_ASSERT(st.phase == JobState::Phase::Finalized);
-    acc_->on_job(st.quality, st.job.weight * cfg_.quality(st.job.demand),
-                 st.satisfied, st.processed > kTimeEps,
-                 !st.job.partial_ok && !st.satisfied,
-                 st.finalized_at - st.job.release);
-  }
-}
-
-void Engine::reclaim_dead_prefix() {
-  // Only whole chunks can be freed — skip the plan scan until at least
-  // one full chunk of jobs has died since the last release.
-  if (first_live_ - jobs_.resident_floor() <
-      sim::ChunkedArena<JobState>::kChunkSize) {
-    return;
-  }
-  // advance_to's completion sweep dereferences state(seg.job) for stale
-  // segments of already-finalized jobs, so every job still named by an
-  // installed plan must stay resident even when it sits below
-  // first_live_.
-  std::size_t floor = first_live_;
-  for (const CoreRuntime& c : cores_) {
-    for (std::size_t k = c.next_seg; k < c.plan.size(); ++k) {
-      floor = std::min(floor, static_cast<std::size_t>(c.plan[k].job - 1));
-    }
-  }
-  feed_accumulator_upto(floor);
-  jobs_.release_before(floor);
-}
-
 RunResult Engine::run() {
   if (cfg_.record_execution) {
     result_.executed.resize(cores_.size());
@@ -552,7 +513,9 @@ RunResult Engine::run() {
     }
 
     expire_due_jobs();
-    if (!cfg_.record_job_states) reclaim_dead_prefix();
+    if (!cfg_.record_job_states) {
+      jobs_.retire(first_live_, cores_, cfg_.quality);
+    }
 
     bool replan = false;
 
@@ -624,9 +587,9 @@ RunResult Engine::run() {
   // way, so registry-mirrored histogram totals reconcile exactly with
   // the RunStats aggregates and streamed stats match vector-mode stats
   // bit for bit.
-  feed_accumulator_upto(jobs_.size());
-  result_.stats = acc_->finish(dynamic_energy_, static_e, peak_power_,
-                               final_deadline_, replan_count_);
+  jobs_.feed_upto(jobs_.size(), cfg_.quality);
+  result_.stats = jobs_.accumulator().finish(
+      dynamic_energy_, static_e, peak_power_, final_deadline_, replan_count_);
   result_.stats.wake_energy = wake_energy_;
   result_.stats.core_wakes = wake_count_;
   result_.stats.active_ms = res_active_ms_;

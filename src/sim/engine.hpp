@@ -47,12 +47,11 @@
 #include "core/schedule.hpp"
 #include "obs/attribution.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/job_arena.hpp"
+#include "sim/job_table.hpp"
 #include "sim/metrics.hpp"
 
 namespace qes::obs {
 class Registry;
-class RunAccumulator;
 class TraceRing;
 }  // namespace qes::obs
 
@@ -174,8 +173,6 @@ class Engine {
   Engine(EngineConfig config, std::unique_ptr<JobStream> stream,
          std::unique_ptr<SchedulingPolicy> policy);
 
-  ~Engine();
-
   /// Runs the simulation to completion (all jobs finalized) and returns
   /// the collected statistics.
   [[nodiscard]] RunResult run();
@@ -293,15 +290,6 @@ class Engine {
   /// Admit the buffered stream arrival (asserting the JobStream
   /// contract) and pull the next one.
   void admit_streamed_arrival();
-  /// Feed finalized jobs [fed_upto_, limit) into the run accumulator in
-  /// id order — the exact order (and arithmetic) of the legacy
-  /// end-of-run loop, so streamed stats stay bitwise identical.
-  void feed_accumulator_upto(std::size_t limit);
-  /// Feed and free the dead prefix of job state: every job below both
-  /// first_live_ and the earliest job referenced by any core's
-  /// remaining plan segments (advance_to dereferences finalized jobs in
-  /// stale segments, so first_live_ alone is not a safe floor).
-  void reclaim_dead_prefix();
   [[nodiscard]] bool arrivals_pending() const {
     return stream_ != nullptr ? pending_arrival_.has_value()
                               : next_arrival_ < jobs_.size();
@@ -324,12 +312,15 @@ class Engine {
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<JobStream> stream_;  // null in vector mode
   std::optional<Job> pending_arrival_;  // one-arrival lookahead (stream mode)
-  sim::ChunkedArena<JobState> jobs_;  // index = id - 1
+  /// index = id - 1. Streaming runs (!record_job_states) retire the dead
+  /// prefix as they go (sim/job_table.hpp); otherwise the whole table is
+  /// fed at the end and copied into RunResult::jobs.
+  sim::JobTable<JobState> jobs_{cfg_.registry, "qes_sim",
+                                sim::ChunkedArena<JobState>::kChunkSize};
   std::vector<CoreRuntime> cores_;
   std::vector<JobId> waiting_;
   std::size_t next_arrival_ = 0;   // index into jobs_ (arrival order)
   std::size_t first_live_ = 0;     // earliest possibly-unfinalized job
-  std::size_t fed_upto_ = 0;       // jobs below this are in the accumulator
   std::size_t next_budget_step_ = 0;
   std::size_t finalized_count_ = 0;
   std::size_t replan_count_ = 0;
@@ -371,10 +362,6 @@ class Engine {
   std::size_t pushed_deadline_ = SIZE_MAX;
   std::size_t pushed_budget_ = SIZE_MAX;
   Time pushed_quantum_ = -1.0;
-  /// Built lazily at the first feed (incomplete type; hence ~Engine in
-  /// the .cpp). Fed a monotone id-order prefix as jobs die so streaming
-  /// runs can release their state early.
-  std::unique_ptr<obs::RunAccumulator> acc_;
   RunResult result_;
 };
 

@@ -1,7 +1,7 @@
 // Chunked append-only arena with prefix release.
 //
-// The engine's per-job state is indexed by dense job id and written in
-// arrival order; once the simulation's live window moves past a job
+// Each plane's per-job state (sim/job_table.hpp) is indexed by dense job
+// id and written in arrival order; once the live window moves past a job
 // (finalized, fed to the run accumulator, and no stale plan segment
 // references it), its state is never touched again. A std::vector keeps
 // every one of those dead entries resident — ~100 bytes/job, which is

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "multicore/des_scheduler.hpp"
@@ -218,6 +219,55 @@ TEST(ObsIntegration, ServerRegistryCarriesLiveAndFinalInstruments) {
   }
   EXPECT_EQ(releases, s.jobs_total);
   EXPECT_EQ(finalizes, s.jobs_total);
+}
+
+TEST(ObsIntegration, ServerJobAggregatesAdvanceWhileServing) {
+  // The qesd_* run aggregates are fed as finalized jobs retire, so a
+  // scrape of a live server already counts served jobs — and the final
+  // totals still equal the RunStats exactly.
+  runtime::ServerConfig sc;
+  sc.model.cores = 2;
+  sc.model.power_budget = 40.0;
+  sc.time_scale = 20.0;
+  sc.deadline_ms = 100.0;
+  runtime::Server server(sc);
+  server.start();
+  const obs::Registry& reg = server.registry();
+  auto jobs_total = [&] {
+    double total = 0.0;
+    for (const char* o : {"satisfied", "partial", "zero"}) {
+      total += reg.find_counter("qesd_jobs_total", {{"outcome", o}})->value();
+    }
+    return total;
+  };
+  EXPECT_EQ(jobs_total(), 0.0);
+  for (int i = 0; i < 100; ++i) {
+    runtime::Request r;
+    r.demand = 20.0;
+    (void)server.submit(r, std::chrono::milliseconds(50));
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (jobs_total() == 0.0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(jobs_total(), 0.0) << "no job counted before drain_and_stop()";
+
+  const RunStats s = server.drain_and_stop();
+  ASSERT_GT(s.jobs_total, 0u);
+  EXPECT_EQ(jobs_total(), static_cast<double>(s.jobs_total));
+  EXPECT_EQ(reg.find_counter("qesd_jobs_total", {{"outcome", "satisfied"}})
+                ->value(),
+            static_cast<double>(s.jobs_satisfied));
+  EXPECT_EQ(reg.find_counter("qesd_jobs_total", {{"outcome", "partial"}})
+                ->value(),
+            static_cast<double>(s.jobs_partial));
+  EXPECT_EQ(reg.find_counter("qesd_quality_total")->value(), s.total_quality);
+  EXPECT_EQ(reg.find_counter("qesd_quality_max_total")->value(),
+            s.max_quality);
+  EXPECT_EQ(reg.find_histogram("qesd_job_quality")->count(), s.jobs_total);
+  EXPECT_EQ(reg.find_histogram("qesd_job_latency_ms")->count(),
+            s.jobs_satisfied);
 }
 
 TEST(ObsIntegration, ConformanceStillHoldsWithObsAttached) {

@@ -96,6 +96,21 @@ TEST(Conformance, SpeedCappedCores) {
   expect_conformant(r);
 }
 
+TEST(Conformance, LongTraceRetiresJobRecords) {
+  // Over three arena chunks of jobs, so the runtime's retire path feeds
+  // and frees whole chunks mid-run; the statistics must not notice, and
+  // the runtime must hold only the live window plus at most a chunk of
+  // retired-but-unreleased records.
+  constexpr std::size_t kChunk = sim::ChunkedArena<JobRecord>::kChunkSize;
+  const std::vector<Job> jobs = trace(150.0, 700'000.0, 13);
+  ASSERT_GE(jobs.size(), 3 * kChunk);
+  const ConformanceResult r = run_conformance(small_runtime_config(), jobs);
+  EXPECT_EQ(r.sim.jobs_total, jobs.size());
+  expect_conformant(r);
+  EXPECT_GT(r.runtime_peak_resident_jobs, 0u);
+  EXPECT_LE(r.runtime_peak_resident_jobs, 2 * kChunk);
+}
+
 TEST(Conformance, EmptyTrace) {
   const ConformanceResult r = run_conformance(small_runtime_config(), {});
   EXPECT_EQ(r.sim.jobs_total, 0u);
