@@ -33,7 +33,16 @@
 # Because the substrate is built from raw atomics (no mutexes on the hot
 # path), `-L runq` under ThreadSanitizer is MANDATORY before touching
 # any file in src/runq/ — TSan is the only automated check of the
-# acquire/release pairings the memory-order table documents.
+# acquire/release pairings the memory-order table documents. That
+# includes the zero-page encoding: ring slots store their sequence
+# relative to the slot index and every sequence and plan-payload word is
+# accessed through std::atomic_ref, which TSan instruments like any
+# atomic, so `thread -L runq` covers it (the wrap-around, lazy-commit and
+# stress cases run it). ASan does not: the rings' slots and the plan
+# cells' payloads are mmap'd zero pages (src/runq/zero_pages.hpp), not
+# heap allocations, so it cannot see an overrun inside one — index
+# masking in MpscRing and the capacity clamp in PlanCell are their only
+# bound.
 #
 # The runtime label covers the live server (src/runtime/): the trigger
 # thread that sleeps to the next planned segment boundary, the pacing
@@ -42,7 +51,8 @@
 # conformance replay. `-L runtime` under ThreadSanitizer, together with
 # `-L net` and `-L runq`, is MANDATORY before touching
 # src/runtime/server.{hpp,cpp} — the wake protocol is plain atomics and
-# one condition variable, and TSan is its only automated race check.
+# two condition variables (the trigger's wake, the metrics thread's
+# stop), and TSan is its only automated race check.
 # `-L runtime` under AddressSanitizer is MANDATORY beside it before
 # touching the job table (src/sim/job_table.hpp, src/sim/job_arena.hpp,
 # or RuntimeCore's jobs_ and retire floor): advance() frees whole chunks
@@ -88,6 +98,15 @@
 #   $ scripts/ci_sanitize.sh -L power            # both, energy-model suite
 #   $ scripts/ci_sanitize.sh thread              # just TSan
 #   $ scripts/ci_sanitize.sh address -R runtime  # one sanitizer + ctest args
+#   $ scripts/ci_sanitize.sh address -L 'runq|runtime'
+#                                                # several labels: one regex;
+#                                                #   repeated -L flags AND, so
+#                                                #   `-L runq -L runtime` runs
+#                                                #   no test at all
+#
+# The tier-1 tree also builds warning-free, tests included; keep it so
+# with
+#   $ cmake -B build -S . -DQES_WERROR=ON && cmake --build build -j
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

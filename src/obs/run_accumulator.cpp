@@ -80,20 +80,29 @@ RunStats RunAccumulator::finish(Joules dynamic_energy, Joules static_energy,
                                   ? stats_.total_quality / stats_.max_quality
                                   : 0.0;
   if (!latencies_.empty()) {
-    std::sort(latencies_.begin(), latencies_.end());
     stats_.mean_latency =
         latency_sum_ / static_cast<double>(latencies_.size());
     // Nearest-rank percentiles, matching the engine's historical formula.
-    auto pct = [&](double p) {
-      const std::size_t idx = std::min(
-          latencies_.size() - 1,
-          static_cast<std::size_t>(p *
-                                   static_cast<double>(latencies_.size())));
+    // Nested selections instead of a full sort: each partitions the
+    // prefix left below the previous rank, and a rank's value is the
+    // same number a sort would put there.
+    auto rank = [&](double p) {
+      return std::min(latencies_.size() - 1,
+                      static_cast<std::size_t>(
+                          p * static_cast<double>(latencies_.size())));
+    };
+    const auto first = latencies_.begin();
+    auto select = [&](std::size_t idx, std::size_t end) {
+      std::nth_element(first, first + static_cast<std::ptrdiff_t>(idx),
+                       first + static_cast<std::ptrdiff_t>(end));
       return latencies_[idx];
     };
-    stats_.p50_latency = pct(0.50);
-    stats_.p95_latency = pct(0.95);
-    stats_.p99_latency = pct(0.99);
+    const std::size_t i99 = rank(0.99);
+    const std::size_t i95 = rank(0.95);
+    const std::size_t i50 = rank(0.50);
+    stats_.p99_latency = select(i99, latencies_.size());
+    stats_.p95_latency = select(i95, i99);
+    stats_.p50_latency = select(i50, i95);
   }
   stats_.dynamic_energy = dynamic_energy;
   stats_.static_energy = static_energy;

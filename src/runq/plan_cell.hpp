@@ -8,9 +8,10 @@
 // sidesteps libstdc++ 12's _Sp_atomic, which trips ThreadSanitizer).
 //
 // Seqlock recipe (Boehm, "Can seqlocks get along with programming
-// language memory models?") — every data word is a relaxed atomic so
-// concurrent read/write of the payload is not a C++ data race; the
-// sequence counter plus fences order them:
+// language memory models?") — every payload word is accessed as a
+// relaxed atomic (std::atomic_ref over plain arrays) so concurrent
+// read/write of the payload is not a C++ data race; the sequence
+// counter plus fences order them:
 //
 //   writer:  seq.store(s+1, relaxed);            // odd: write in progress
 //            atomic_thread_fence(release);
@@ -24,6 +25,11 @@
 //
 // Memory-order table in docs/ARCHITECTURE.md "Hot path".
 //
+// The four payload arrays live in zero pages (runq/zero_pages.hpp):
+// capacity is reserved address space, and a page is committed when a
+// publish first writes that far. Zero means "no segments", and size_
+// gates every read, so an unpublished cell reads as the empty plan.
+//
 // Capacity is fixed at construction. A plan longer than the cell is
 // truncated (publish() reports how many segments were dropped so the
 // owner can count them); a worker that exhausts a truncated plan simply
@@ -35,10 +41,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/schedule.hpp"
+#include "runq/zero_pages.hpp"
 
 namespace qes::runq {
 
@@ -62,10 +68,10 @@ class PlanCell {
  public:
   explicit PlanCell(std::size_t capacity)
       : capacity_(capacity),
-        t0_(std::make_unique<std::atomic<double>[]>(capacity)),
-        t1_(std::make_unique<std::atomic<double>[]>(capacity)),
-        speed_(std::make_unique<std::atomic<double>[]>(capacity)),
-        job_(std::make_unique<std::atomic<JobId>[]>(capacity)) {}
+        t0_(capacity),
+        t1_(capacity),
+        speed_(capacity),
+        job_(capacity) {}
 
   PlanCell(const PlanCell&) = delete;
   PlanCell& operator=(const PlanCell&) = delete;
@@ -84,10 +90,10 @@ class PlanCell {
     seq_.store(s + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < n; ++i) {
-      t0_[i].store(segs[i].t0, std::memory_order_relaxed);
-      t1_[i].store(segs[i].t1, std::memory_order_relaxed);
-      speed_[i].store(segs[i].speed, std::memory_order_relaxed);
-      job_[i].store(segs[i].job, std::memory_order_relaxed);
+      word(t0_, i).store(segs[i].t0, std::memory_order_relaxed);
+      word(t1_, i).store(segs[i].t1, std::memory_order_relaxed);
+      word(speed_, i).store(segs[i].speed, std::memory_order_relaxed);
+      word(job_, i).store(segs[i].job, std::memory_order_relaxed);
     }
     size_.store(n, std::memory_order_relaxed);
     gen_.store(gen, std::memory_order_relaxed);
@@ -108,10 +114,11 @@ class PlanCell {
         if (n > capacity_) n = capacity_;  // torn size: bounded, re-checked
         out.segments.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-          out.segments[i].t0 = t0_[i].load(std::memory_order_relaxed);
-          out.segments[i].t1 = t1_[i].load(std::memory_order_relaxed);
-          out.segments[i].speed = speed_[i].load(std::memory_order_relaxed);
-          out.segments[i].job = job_[i].load(std::memory_order_relaxed);
+          out.segments[i].t0 = word(t0_, i).load(std::memory_order_relaxed);
+          out.segments[i].t1 = word(t1_, i).load(std::memory_order_relaxed);
+          out.segments[i].speed =
+              word(speed_, i).load(std::memory_order_relaxed);
+          out.segments[i].job = word(job_, i).load(std::memory_order_relaxed);
         }
         out.gen = gen_.load(std::memory_order_relaxed);
         out.core_state = static_cast<CoreState>(
@@ -129,15 +136,20 @@ class PlanCell {
   }
 
  private:
+  template <typename W>
+  static std::atomic_ref<W> word(const ZeroPageArray<W>& a, std::size_t i) {
+    return std::atomic_ref<W>(a[i]);
+  }
+
   std::size_t capacity_;
   alignas(64) std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> gen_{0};
   std::atomic<std::uint32_t> state_{0};
-  std::unique_ptr<std::atomic<double>[]> t0_;
-  std::unique_ptr<std::atomic<double>[]> t1_;
-  std::unique_ptr<std::atomic<double>[]> speed_;
-  std::unique_ptr<std::atomic<JobId>[]> job_;
+  ZeroPageArray<double> t0_;
+  ZeroPageArray<double> t1_;
+  ZeroPageArray<double> speed_;
+  ZeroPageArray<JobId> job_;
 };
 
 }  // namespace qes::runq

@@ -7,13 +7,22 @@
 // stores the head cursor, so a drain of k items is k acquire loads plus
 // k release stores.
 //
-// Memory-order contract (see docs/ARCHITECTURE.md "Hot path"):
+// Slots live in zero pages (runq/zero_pages.hpp), so a ring's capacity
+// is reserved address space: construction writes nothing, and a page is
+// committed when a push first reaches it. For that, each slot stores
+// its Vyukov sequence relative to its index i (stored = seq - i): the
+// classic initial stamp seq = i becomes 0, and an all-zero page is the
+// valid empty ring. For the slot of cursor `pos`, seq - pos is
+// stored - lap(pos), where lap(pos) = pos - i = pos & ~mask.
+//
+// Memory-order contract (see docs/ARCHITECTURE.md "Hot path"); the
+// sequence words are accessed through std::atomic_ref:
 //   producer: seq.load(acquire) observes consumer's slot release;
 //             tail CAS (relaxed) only arbitrates between producers;
-//             value store happens-before seq.store(pos+1, release).
+//             value store happens-before seq.store(lap+1, release).
 //   consumer: seq.load(acquire) synchronizes with the producer's
 //             release store, making the value visible;
-//             seq.store(pos+capacity, release) hands the slot back.
+//             seq.store(lap+capacity, release) hands the slot back.
 //
 // Closing the ring makes every subsequent push fail (shed) without
 // disturbing items already enqueued; `close()` is called by the owner
@@ -24,14 +33,19 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 
 #include "core/assert.hpp"
+#include "runq/zero_pages.hpp"
 
 namespace qes::runq {
 
 template <typename T>
 class MpscRing {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "slots are zero-page bytes: the payload is copied, never "
+                "constructed");
+
  public:
   /// `capacity` is the exact logical bound (>= 1): the ring never holds
   /// more than `capacity` items. Slot storage is rounded up to a power
@@ -39,16 +53,10 @@ class MpscRing {
   /// a one-slot ring); the logical bound is enforced with a ticket vs.
   /// head check, which is exact single-threaded and conservative (may
   /// shed a hair early, never late) under producer races.
-  explicit MpscRing(std::size_t capacity) : logical_cap_(capacity) {
-    QES_ASSERT(capacity >= 1);
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    mask_ = cap - 1;
-    slots_ = std::make_unique<Slot[]>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      slots_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
+  explicit MpscRing(std::size_t capacity)
+      : mask_(slot_count(capacity) - 1),
+        logical_cap_(capacity),
+        slots_(mask_ + 1) {}
 
   MpscRing(const MpscRing&) = delete;
   MpscRing& operator=(const MpscRing&) = delete;
@@ -65,14 +73,15 @@ class MpscRing {
         return false;  // logical bound (head only advances: conservative)
       }
       Slot& slot = slots_[pos & mask_];
-      const std::size_t seq = slot.seq.load(std::memory_order_acquire);
+      const std::size_t lap = pos & ~mask_;
+      const std::size_t seq = seq_of(slot).load(std::memory_order_acquire);
       const auto dif = static_cast<std::intptr_t>(seq) -
-                       static_cast<std::intptr_t>(pos);
+                       static_cast<std::intptr_t>(lap);
       if (dif == 0) {
         if (tail_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
           slot.value = value;
-          slot.seq.store(pos + 1, std::memory_order_release);
+          seq_of(slot).store(lap + 1, std::memory_order_release);
           return true;
         }
         // CAS failure reloaded `pos`; retry with the fresh cursor.
@@ -98,13 +107,14 @@ class MpscRing {
   bool try_pop(T& out) {
     const std::size_t pos = head_.load(std::memory_order_relaxed);
     Slot& slot = slots_[pos & mask_];
-    const std::size_t seq = slot.seq.load(std::memory_order_acquire);
+    const std::size_t lap = pos & ~mask_;
+    const std::size_t seq = seq_of(slot).load(std::memory_order_acquire);
     if (static_cast<std::intptr_t>(seq) -
-            static_cast<std::intptr_t>(pos + 1) < 0) {
+            static_cast<std::intptr_t>(lap + 1) < 0) {
       return false;  // empty (or producer mid-claim; treat as empty)
     }
-    out = std::move(slot.value);
-    slot.seq.store(pos + mask_ + 1, std::memory_order_release);
+    out = slot.value;
+    seq_of(slot).store(lap + mask_ + 1, std::memory_order_release);
     head_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
@@ -128,14 +138,28 @@ class MpscRing {
   }
 
  private:
+  /// Sequence relative to the slot index (see the file comment); only
+  /// ever accessed through seq_of().
   struct Slot {
-    std::atomic<std::size_t> seq{0};
-    T value{};
+    std::size_t seq;
+    T value;
   };
+  static_assert(alignof(Slot) >=
+                std::atomic_ref<std::size_t>::required_alignment);
 
-  std::size_t mask_ = 0;
-  std::size_t logical_cap_ = 0;
-  std::unique_ptr<Slot[]> slots_;
+  static std::size_t slot_count(std::size_t capacity) {
+    QES_ASSERT(capacity >= 1);
+    std::size_t cap = 2;
+    while (cap < capacity) cap <<= 1;
+    return cap;
+  }
+  static std::atomic_ref<std::size_t> seq_of(Slot& slot) {
+    return std::atomic_ref<std::size_t>(slot.seq);
+  }
+
+  std::size_t mask_;
+  std::size_t logical_cap_;
+  ZeroPageArray<Slot> slots_;
   alignas(64) std::atomic<std::size_t> tail_{0};  // producers (CAS)
   alignas(64) std::atomic<std::size_t> head_{0};  // single consumer
   alignas(64) std::atomic<bool> closed_{false};

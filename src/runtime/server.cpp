@@ -680,29 +680,33 @@ void Server::take_snapshot() {
 }
 
 void Server::metrics_loop() {
-  // Chunked sleep (no condition variable): stop latency is one chunk,
-  // which is far below the snapshot cadence.
-  const auto chunk = std::chrono::duration_cast<VirtualClock::WallClock::duration>(
-      wall_ms(std::min(cfg_.metrics_interval_ms, 20.0)));
-  while (!stop_.load(std::memory_order_acquire)) {
-    const auto wake =
-        VirtualClock::WallClock::now() +
-        std::chrono::duration_cast<VirtualClock::WallClock::duration>(
-            wall_ms(cfg_.metrics_interval_ms));
-    while (!stop_.load(std::memory_order_acquire)) {
-      const auto now = VirtualClock::WallClock::now();
-      if (now >= wake) break;
-      const auto remain = wake - now;
-      std::this_thread::sleep_for(remain < chunk ? remain : chunk);
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
+  // Snapshots every metrics_interval_ms; request_stop() wakes the wait,
+  // so stopping never waits out an interval.
+  const auto interval =
+      std::chrono::duration_cast<VirtualClock::WallClock::duration>(
+          wall_ms(cfg_.metrics_interval_ms));
+  std::unique_lock<std::mutex> lock(metrics_mu_);
+  while (!metrics_cv_.wait_for(lock, interval, [this] {
+    return stop_.load(std::memory_order_acquire);
+  })) {
+    lock.unlock();
     take_snapshot();
     // The metrics thread is the shard plane's single window roller (the
     // interval default makes these the 1 s /statz windows) and folds the
     // shard totals into the registry each tick.
     shards_->fold_into_registry();
     shards_->roll_window(wall_elapsed_s());
+    lock.lock();
   }
+}
+
+void Server::request_stop() {
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  metrics_cv_.notify_one();
+  poke_trigger_now();
 }
 
 RunStats Server::drain_and_stop() {
@@ -733,8 +737,7 @@ RunStats Server::drain_and_stop() {
     std::this_thread::sleep_for(wall_ms(2.0 * cfg_.tick_wall_ms));
   }
   take_snapshot();  // final observation before the threads stop
-  stop_.store(true, std::memory_order_release);
-  poke_trigger_now();
+  request_stop();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   stopped_ = true;
@@ -797,8 +800,7 @@ Watts Server::power_request() const {
 Server::KillReport Server::kill() {
   QES_ASSERT_MSG(started_ && !stopped_, "kill() requires a live server");
   admission_.close();
-  stop_.store(true, std::memory_order_release);
-  poke_trigger_now();
+  request_stop();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   stopped_ = true;

@@ -75,13 +75,15 @@ struct ServerConfig {
   Time deadline_ms = 150.0;
   /// Total admission bound, split evenly across the per-core rings;
   /// pushes beyond a ring's share are shed (submit() retries up to its
-  /// timeout first).
+  /// timeout first). Reserved address space (zero pages, ~48 B per
+  /// request): committed as pushes reach it, never at construction.
   std::size_t admission_capacity = 4096;
   /// Trigger-thread cadence (wall ms): the longest the trigger sleeps.
   /// It wakes earlier at the next planned segment boundary and when
   /// poked (admissions, budget changes, stop).
   double tick_wall_ms = 2.0;
-  /// Metrics snapshot cadence (wall ms).
+  /// Metrics snapshot cadence (wall ms). Stopping does not wait it out:
+  /// drain_and_stop() and kill() wake the metrics thread at once.
   double metrics_interval_ms = 1000.0;
   /// Worker pacing granularity (wall ms): the longest one pacing slice
   /// (a back-to-back run of plan segments) is held before the worker
@@ -95,7 +97,9 @@ struct ServerConfig {
   std::size_t steal_threshold = 8;
   /// Segment capacity of each seqlock plan cell; longer plans are
   /// truncated at publication (counted in qesd_plan_truncated_total —
-  /// pacing fidelity, never accounting, is at stake).
+  /// pacing fidelity, never accounting, is at stake). Reserved address
+  /// space (zero pages, 32 B per segment per core): committed as
+  /// publishes reach it, never at construction.
   std::size_t plan_cell_segments = 4096;
   /// HTTP scrape endpoint: -1 disables it, 0 binds an ephemeral port
   /// (read back via Server::http_port()), anything else binds that port.
@@ -316,6 +320,8 @@ class Server {
   /// changes, drain, stop — that must make the trigger act at once.
   void poke_trigger_now();
   void take_snapshot();
+  /// Sets stop_ and wakes the trigger and metrics threads at once.
+  void request_stop();
   /// Sleeps until `tp`, a plan generation other than `seen_gen`, or
   /// stop — lock-free chunked sleeps (chunk = worker_slice_wall_ms) that
   /// re-check the generation and stop flag between chunks.
@@ -362,6 +368,11 @@ class Server {
   // check and be missed, costing at most one wait; poke_trigger_now()
   // stores it under trig_mu_ and is never missed.
   std::atomic<bool> poked_{false};
+
+  // The metrics thread's wait between snapshots; request_stop() sets
+  // stop_ under metrics_mu_, so the notify cannot be missed.
+  std::mutex metrics_mu_;
+  std::condition_variable metrics_cv_;
 
   std::vector<std::atomic<JobId>> current_job_;
   std::vector<WorkerStats> worker_stats_;

@@ -133,17 +133,22 @@ TEST(FlightRecorder, DumpToPathMatchesToJsonlWhenQuiesced) {
 
 // Writers hammer their rings while readers render continuously: every
 // emitted line must still parse, valid events must carry sane fields,
-// and nothing crashes or deadlocks. TSan verifies the memory orders.
+// and nothing crashes or deadlocks. Each event's `b` is derived from its
+// `a`, so a slot torn between two records fails the check on that line.
+// TSan verifies the memory orders.
 TEST(FlightRecorder, ConcurrentDumpsStayParseableUnderLoad) {
   constexpr int kWriters = 3;
+  const auto derived_b = [](std::uint64_t a) { return 3 * a + 7; };
   FlightRecorder rec(kWriters, 64);
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&rec, w, &done] {
+    writers.emplace_back([&rec, w, &done, derived_b] {
       std::uint32_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
-        rec.record(static_cast<std::size_t>(w), FlightKind::kDrain, ++i, i);
+        ++i;
+        rec.record(static_cast<std::size_t>(w), FlightKind::kDrain, i,
+                   derived_b(i));
       }
     });
   }
@@ -155,6 +160,11 @@ TEST(FlightRecorder, ConcurrentDumpsStayParseableUnderLoad) {
       if (e.find("seq") == nullptr) continue;
       EXPECT_GE(e.number_or("thread", -1.0), 0.0);
       EXPECT_LT(e.number_or("thread", -1.0), kWriters);
+      const double a = e.number_or("a", -1.0);
+      ASSERT_GE(a, 1.0) << l;
+      EXPECT_EQ(e.number_or("b", -1.0),
+                static_cast<double>(derived_b(static_cast<std::uint64_t>(a))))
+          << "torn slot: " << l;
     }
   }
   done.store(true, std::memory_order_release);

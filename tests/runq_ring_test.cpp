@@ -46,17 +46,32 @@ TEST(MpscRing, ExactLogicalCapacity) {
 }
 
 TEST(MpscRing, WrapAroundManyTimes) {
-  MpscRing<int> ring(3);
-  int v = -1;
-  for (int round = 0; round < 1000; ++round) {
-    EXPECT_TRUE(ring.try_push(2 * round));
-    EXPECT_TRUE(ring.try_push(2 * round + 1));
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, 2 * round);
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, 2 * round + 1);
+  // Each lap moves every slot's stored (index-relative) sequence on by
+  // the slot count. Capacities 2 and 4 fill their slot arrays exactly,
+  // so full bursts also check the "full" test across laps; bursts cycle
+  // through every length so the cursors visit every slot offset.
+  for (const std::size_t cap : {2u, 3u, 4u}) {
+    SCOPED_TRACE(cap);
+    MpscRing<int> ring(cap);
+    int next = 0;
+    int expect = 0;
+    int v = -1;
+    for (std::size_t round = 0; round < 1000; ++round) {
+      const std::size_t burst = 1 + round % cap;
+      for (std::size_t k = 0; k < burst; ++k) {
+        ASSERT_TRUE(ring.try_push(next++));
+      }
+      if (burst == cap) {
+        EXPECT_FALSE(ring.try_push(-1));
+      }
+      for (std::size_t k = 0; k < burst; ++k) {
+        ASSERT_TRUE(ring.try_pop(v));
+        EXPECT_EQ(v, expect++);
+      }
+      EXPECT_FALSE(ring.try_pop(v));
+    }
+    EXPECT_TRUE(ring.empty());
   }
-  EXPECT_TRUE(ring.empty());
 }
 
 TEST(MpscRing, PushManyAcceptsLongestPrefix) {
